@@ -637,6 +637,59 @@ func BenchmarkEngineSteadyStateJournal(b *testing.B) {
 	b.ReportMetric(scored/b.Elapsed().Seconds(), "scores/s")
 }
 
+// BenchmarkEngineSteadyStateAdaptive is the steady-state loop of an
+// adaptive fleet in an empty room — a deployed link's normal state: 8
+// SchemeSubcarrier links under the default adapt.Policy, so nearly every
+// window is silent and refreshes its link's profile. The refresh measures
+// the window from the frames the score already sanitized on the shard's
+// scratch, and computes its mean RSS with one logarithm per subcarrier; the
+// recorded min_speedup pins that win over sanitizing and measuring every
+// refresh window a second time. Unlike the other steady-state benchmarks
+// this one allocates: each refresh publishes a fresh copy-on-write profile
+// (concurrent readers hold the old one), and benchcheck bounds that count.
+// The refreshes/window metric confirms the refresh path is what is timed.
+func BenchmarkEngineSteadyStateAdaptive(b *testing.B) {
+	const links = 8
+	s, frames := engineFixture(b)
+	e := engine.New(engine.Config{
+		Workers:    4,
+		WindowSize: 25,
+		Fusion:     engine.KOfN{K: 1},
+		Adaptation: &adapt.Policy{},
+	})
+	for i := 0; i < links; i++ {
+		cfg := core.DefaultConfig(s.Grid, core.SchemeSubcarrier, s.Env.RX.Offsets())
+		if err := e.AddLink(fmt.Sprintf("l%d", i), cfg, engine.NewReplaySource(frames, true)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	if err := e.Calibrate(ctx, 60); err != nil {
+		b.Fatal(err)
+	}
+	// Warm-up: primes slabs and scratches and fills the adapters' rolling
+	// drift and null buffers to their steady size.
+	if err := e.Run(ctx, 56); err != nil {
+		b.Fatal(err)
+	}
+	refreshes := func() (n uint64) {
+		for _, lm := range e.Metrics().PerLink {
+			n += lm.Health.Refreshes
+		}
+		return n
+	}
+	warm, warmRefreshes := e.Metrics().WindowsScored, refreshes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(ctx, b.N); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	scored := float64(e.Metrics().WindowsScored - warm)
+	b.ReportMetric(scored/b.Elapsed().Seconds(), "scores/s")
+	b.ReportMetric(float64(refreshes()-warmRefreshes)/scored, "refreshes/window")
+}
+
 // BenchmarkEngineSteadyStateSkewed measures the scheduler's answer to a
 // lopsided fleet: one link runs the MUSIC-weighted SchemeSubcarrierPath
 // detector on a fine 0.05° angular grid (3601 steering rows against the

@@ -454,10 +454,34 @@ func (a *Adapter) Health() Health {
 // windows, and periodically re-derives the threshold from the rolling null
 // distribution. The window's frames are only read during the call — the
 // caller may recycle them afterwards. It returns the post-update health.
+// A refresh prepares (sanitizes) the window again on the adapter's own
+// scratch; a caller that scored it on a scratch of its own should use
+// ObserveScored instead.
 //
 // Observe must be called from a single goroutine (the link's owner); see the
 // Adapter doc comment.
 func (a *Adapter) Observe(window []*csi.Frame, dec core.Decision) (Health, error) {
+	return a.observe(window, nil, dec)
+}
+
+// ObserveScored is Observe for the window just scored on sc through the
+// adapter's detector (Detector.DetectScratch or equivalent): a refresh or
+// relock measures the frames that score already prepared (see
+// core.Detector.MeasurePrepared) instead of sanitizing the window a second
+// time. sc must not be used for anything else between the score and this
+// call, and the window's frames must not be recycled before it returns. The
+// result is bit-identical to Observe on the same window.
+func (a *Adapter) ObserveScored(sc *core.Scratch, dec core.Decision) (Health, error) {
+	if sc == nil {
+		return a.health, fmt.Errorf("adapt: observe without a scoring scratch: %w", core.ErrBadInput)
+	}
+	return a.observe(nil, sc, dec)
+}
+
+// observe is the one observation path. Exactly one of window and scored is
+// set: the raw window to prepare on the adapter's own scratch, or the
+// scratch that scored it (see measure).
+func (a *Adapter) observe(window []*csi.Frame, scored *core.Scratch, dec core.Decision) (Health, error) {
 	defer func() { a.pub.publish(a.health) }()
 
 	if a.relock.Swap(false) {
@@ -466,7 +490,7 @@ func (a *Adapter) Observe(window []*csi.Frame, dec core.Decision) (Health, error
 		// The window's score was computed against the pre-relock profile —
 		// feeding it to the monitor would poison the fresh rolling state, so
 		// this observation only rebuilds.
-		if err := a.relockNow(window); err != nil {
+		if err := a.relockNow(window, scored); err != nil {
 			return a.health, err
 		}
 		return a.health, nil
@@ -498,7 +522,7 @@ func (a *Adapter) Observe(window []*csi.Frame, dec core.Decision) (Health, error
 		!stats.JumpExceeded &&
 		math.Abs(dec.Score-stats.RecentMean) <= a.pol.TrackBand*stats.RefStd
 	if (silent || tracking) && !suppressed {
-		if err := a.refresh(window, dec.Score); err != nil {
+		if err := a.refresh(window, scored, dec.Score); err != nil {
 			return a.health, err
 		}
 	}
@@ -529,10 +553,20 @@ func (a *Adapter) Observe(window []*csi.Frame, dec core.Decision) (Health, error
 	return a.health, nil
 }
 
+// measure computes the observed window's profile statistics into a.ws: from
+// the frames the scoring scratch already prepared when scored is set, else
+// by preparing window on the adapter's own scratch.
+func (a *Adapter) measure(window []*csi.Frame, scored *core.Scratch) error {
+	if scored != nil {
+		return a.det.MeasurePrepared(&a.ws, scored)
+	}
+	return a.det.MeasureWindow(&a.ws, window, a.sc)
+}
+
 // refresh applies one silent-window profile refresh and, at the configured
 // cadence, re-derives the threshold from the rolling nulls.
-func (a *Adapter) refresh(window []*csi.Frame, score float64) error {
-	if err := a.det.MeasureWindow(&a.ws, window, a.sc); err != nil {
+func (a *Adapter) refresh(window []*csi.Frame, scored *core.Scratch, score float64) error {
+	if err := a.measure(window, scored); err != nil {
 		return fmt.Errorf("adapt measure: %w", err)
 	}
 	next, err := a.lp.Refresh(&a.ws)
@@ -596,8 +630,8 @@ func (a *Adapter) updateShiftTrend() {
 // below it, so silent refreshes resume immediately and the threshold
 // re-derives from genuinely fresh nulls at the usual cadence — while a person
 // arriving in the meantime still faces a meaningful threshold.
-func (a *Adapter) relockNow(window []*csi.Frame) error {
-	if err := a.det.MeasureWindow(&a.ws, window, a.sc); err != nil {
+func (a *Adapter) relockNow(window []*csi.Frame, scored *core.Scratch) error {
+	if err := a.measure(window, scored); err != nil {
 		return fmt.Errorf("adapt relock measure: %w", err)
 	}
 	next, err := a.lp.Adopt(&a.ws)

@@ -42,6 +42,12 @@
 // snapshot, so a restarted daemon resumes from the adapted baseline instead
 // of recalibrating; see fleet.Store.
 //
+// A caller that scored the window on its own core.Scratch hands that
+// scratch to ObserveScored: a refresh then measures the frames the score
+// already sanitized instead of sanitizing the window again. Observe takes
+// the raw window and prepares it on the adapter's own scratch; both give
+// bit-identical results.
+//
 // Observe is single-writer: exactly one goroutine — the link's owning
 // engine shard — observes a given adapter, and profile swaps are
 // copy-on-write through core.Detector.SetProfile. Health may be read from

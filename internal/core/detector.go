@@ -293,6 +293,27 @@ func (d *Detector) MeasureWindow(ws *WindowStats, window []*csi.Frame, sc *Scrat
 	return d.kernel.MeasureWindowInto(ws, window, sc)
 }
 
+// MeasurePrepared computes into ws the profile statistics of the window sc
+// last scored through this detector's kernel, from the frames that score
+// already prepared — a refresh right after scoring skips sanitizing the
+// window a second time. The result equals MeasureWindow on the same window.
+// It returns ErrBadInput when sc holds no successfully scored window, or
+// one scored by another kernel. With Sanitize off the prepared window is
+// the caller's raw one, so its frames must not have been recycled since.
+func (d *Detector) MeasurePrepared(ws *WindowStats, sc *Scratch) error {
+	if ws == nil {
+		return fmt.Errorf("nil window stats: %w", ErrBadInput)
+	}
+	if sc == nil || len(sc.prepared) == 0 {
+		return fmt.Errorf("measure: no scored window: %w", ErrBadInput)
+	}
+	if sc.preparedBy != d.kernel {
+		return fmt.Errorf("measure: window scored by another kernel: %w", ErrBadInput)
+	}
+	meanStatsInto(ws, sc.prepared, sc.medRow(sc.prepared[0].NumSubcarriers()))
+	return nil
+}
+
 // toDB converts a power spectrum to decibels (floored well below any
 // physical level to keep the distance finite). It is the allocating
 // reference for Spectrum.ToDBInPlace, retained for the property tests that

@@ -46,15 +46,20 @@ func (k *Kernel) Config() Config { return k.cfg }
 // Score computes the scheme's distance statistic for a window of M frames
 // against the given profile (§IV-C monitoring stage). A nil scratch
 // allocates a transient one.
+//
+// A successful score leaves its prepared window recorded in sc for
+// Detector.MeasurePrepared; every call clears the previous record first, so
+// a failed score leaves nothing to measure.
 func (k *Kernel) Score(profile *Profile, window []*csi.Frame, sc *Scratch) (float64, error) {
+	if sc == nil {
+		sc = NewScratch()
+	}
+	sc.prepared, sc.preparedBy = nil, nil
 	if len(window) == 0 {
 		return 0, fmt.Errorf("empty monitoring window: %w", ErrBadInput)
 	}
 	if profile == nil || len(profile.MeanAmp) == 0 {
 		return 0, fmt.Errorf("score without a profile: %w", ErrBadInput)
-	}
-	if sc == nil {
-		sc = NewScratch()
 	}
 	prep, err := prepareScratch(k.cfg, window, sc)
 	if err != nil {
@@ -65,16 +70,22 @@ func (k *Kernel) Score(profile *Profile, window []*csi.Frame, sc *Scratch) (floa
 			prep[0].NumAntennas(), prep[0].NumSubcarriers(),
 			len(profile.MeanAmp), len(profile.MeanAmp[0]), ErrBadInput)
 	}
+	var score float64
 	switch k.cfg.Scheme {
 	case SchemeBaseline:
-		return k.scoreBaseline(profile, prep, sc)
+		score, err = k.scoreBaseline(profile, prep, sc)
 	case SchemeSubcarrier:
-		return k.scoreSubcarrier(profile, prep, sc)
+		score, err = k.scoreSubcarrier(profile, prep, sc)
 	case SchemeSubcarrierPath:
-		return k.scoreSubcarrierPath(profile, prep, sc)
+		score, err = k.scoreSubcarrierPath(profile, prep, sc)
 	default:
-		return 0, fmt.Errorf("unknown scheme: %w", ErrBadInput)
+		err = fmt.Errorf("unknown scheme: %w", ErrBadInput)
 	}
+	if err != nil {
+		return 0, err
+	}
+	sc.prepared, sc.preparedBy = prep, k
+	return score, nil
 }
 
 // WindowStats are the per-window profile statistics a monitoring window
@@ -104,33 +115,78 @@ func (ws *WindowStats) shaped(nAnt, nSub int) {
 	}
 }
 
-// meanStatsInto accumulates the per-subcarrier mean amplitude and mean RSS
-// of already-prepared frames into ws — the single definition of the
-// profile fingerprint, shared by Calibrate (building the static profile)
-// and MeasureWindowInto (measuring a refresh window), so the adaptation
-// layer can never EWMA-mix statistics computed differently from the
-// profile's. rss is a caller-provided row buffer of nSub floats.
-func meanStatsInto(ws *WindowStats, prep []*csi.Frame, rss []float64) {
+// meanStatsInto computes the per-subcarrier mean amplitude and mean RSS of
+// already-prepared frames into ws — the single definition of the profile
+// fingerprint, shared by Calibrate (building the static profile),
+// MeasureWindowInto and MeasurePrepared (measuring a refresh or relock
+// window), so the adaptation layer can never EWMA-mix statistics computed
+// differently from the profile's. The mean RSS is meanRSSdBInto's, the same
+// one scoreSubcarrier compares against it. exps is a caller-provided work
+// row of nSub floats.
+func meanStatsInto(ws *WindowStats, prep []*csi.Frame, exps []float64) {
 	nAnt := prep[0].NumAntennas()
 	nSub := prep[0].NumSubcarriers()
 	ws.shaped(nAnt, nSub)
-	for _, f := range prep {
-		for ant := 0; ant < nAnt; ant++ {
-			subcarrierRSSdBInto(rss, f.CSI[ant])
-			amp := ws.MeanAmp[ant]
-			mrs := ws.MeanRSSdB[ant]
-			for kk := 0; kk < nSub; kk++ {
-				re, im := real(f.CSI[ant][kk]), imag(f.CSI[ant][kk])
-				amp[kk] += math.Hypot(re, im)
-				mrs[kk] += rss[kk]
-			}
-		}
-	}
 	scale := 1 / float64(len(prep))
 	for ant := 0; ant < nAnt; ant++ {
-		for kk := 0; kk < nSub; kk++ {
-			ws.MeanAmp[ant][kk] *= scale
-			ws.MeanRSSdB[ant][kk] *= scale
+		amp := ws.MeanAmp[ant]
+		for _, f := range prep {
+			for kk, v := range f.CSI[ant][:nSub] {
+				amp[kk] += math.Hypot(real(v), imag(v))
+			}
+		}
+		for kk := range amp {
+			amp[kk] *= scale
+		}
+		meanRSSdBInto(ws.MeanRSSdB[ant], exps, prep, ant)
+	}
+}
+
+// meanRSSdBInto writes antenna ant's window-mean per-subcarrier RSS in dB
+// into dst (len = nSub): the one mean-RSS definition behind scoring,
+// calibration, refresh and relock.
+//
+// The mean Σ_f 10·log₁₀(p_f)/M is computed as 10·log₁₀(Π_f p_f)/M — the
+// same quantity with one logarithm per subcarrier instead of one per packet
+// (Log10 was the scoring loop's hottest call). dst holds the running power
+// products; a power or product about to leave the double range is rescaled
+// by 10^±300, and the decade offsets, kept in the caller's work row exps,
+// are folded back into the dB mean. A zero-power packet makes its
+// subcarrier's mean −Inf, as its logarithm would.
+func meanRSSdBInto(dst, exps []float64, frames []*csi.Frame, ant int) {
+	for kk := range dst {
+		dst[kk], exps[kk] = 1, 0
+	}
+	for _, f := range frames {
+		for kk, h := range f.CSI[ant][:len(dst)] {
+			re, im := real(h), imag(h)
+			p := re*re + im*im
+			switch {
+			case p < 1e-150:
+				p *= 1e300
+				exps[kk] -= 300
+			case p > 1e150:
+				p *= 1e-300
+				exps[kk] += 300
+			}
+			v := dst[kk] * p
+			switch {
+			case v > 0 && v < 1e-150:
+				v *= 1e300
+				exps[kk] -= 300
+			case v > 1e150:
+				v *= 1e-300
+				exps[kk] += 300
+			}
+			dst[kk] = v
+		}
+	}
+	m := float64(len(frames))
+	for kk, prod := range dst {
+		if prod > 0 {
+			dst[kk] = (10*math.Log10(prod) + 10*exps[kk]) / m
+		} else {
+			dst[kk] = math.Inf(-1)
 		}
 	}
 }
@@ -152,7 +208,7 @@ func (k *Kernel) MeasureWindowInto(ws *WindowStats, window []*csi.Frame, sc *Scr
 	if err != nil {
 		return fmt.Errorf("measure: %w", err)
 	}
-	meanStatsInto(ws, prep, sc.rssRow(prep[0].NumSubcarriers()))
+	meanStatsInto(ws, prep, sc.medRow(prep[0].NumSubcarriers()))
 	return nil
 }
 
@@ -226,14 +282,8 @@ func (k *Kernel) windowWeights(window []*csi.Frame, sc *Scratch) ([][]float64, e
 }
 
 // scoreSubcarrier: Euclidean norm of the Eq. 15 weighted RSS changes,
-// averaged across antennas.
-//
-// The window's mean per-subcarrier RSS in dB is computed as
-// 10·log₁₀(Π_f p_f)/M rather than Σ 10·log₁₀(p_f)/M — the same quantity
-// with one logarithm per subcarrier instead of one per packet (Log10 was
-// the scoring loop's hottest call). Running power products are rescaled by
-// 10^±300 before they can leave the double range; the decade offsets are
-// folded back into the dB mean.
+// averaged across antennas. The window's mean RSS is meanRSSdBInto's — the
+// definition the profile's MeanRSSdB was built with.
 func (k *Kernel) scoreSubcarrier(profile *Profile, window []*csi.Frame, sc *Scratch) (float64, error) {
 	weights, err := k.windowWeights(window, sc)
 	if err != nil {
@@ -243,34 +293,11 @@ func (k *Kernel) scoreSubcarrier(profile *Profile, window []*csi.Frame, sc *Scra
 	nSub := window[0].NumSubcarriers()
 	var total float64
 	for ant := 0; ant < nAnt; ant++ {
-		prod := sc.accumulator(nSub) // running power products
-		exps := sc.medRow(nSub)      // rescue decades, in powers of 10
-		for kk := 0; kk < nSub; kk++ {
-			prod[kk], exps[kk] = 1, 0
-		}
-		for _, f := range window {
-			row := f.CSI[ant]
-			for kk := 0; kk < nSub; kk++ {
-				re, im := real(row[kk]), imag(row[kk])
-				v := prod[kk] * (re*re + im*im)
-				switch {
-				case v > 0 && v < 1e-150:
-					v *= 1e300
-					exps[kk] -= 300
-				case v > 1e150:
-					v *= 1e-300
-					exps[kk] += 300
-				}
-				prod[kk] = v
-			}
-		}
+		meanRSS := sc.rssRow(nSub)
+		meanRSSdBInto(meanRSS, sc.medRow(nSub), window, ant)
 		var dist, wNorm float64
 		for kk := 0; kk < nSub; kk++ {
-			meanRSS := math.Inf(-1) // a zero-power subcarrier, as in SubcarrierRSSdB
-			if prod[kk] > 0 {
-				meanRSS = (10*math.Log10(prod[kk]) + 10*exps[kk]) / float64(len(window))
-			}
-			delta := meanRSS - profile.MeanRSSdB[ant][kk]
+			delta := meanRSS[kk] - profile.MeanRSSdB[ant][kk]
 			wd := weights[ant][kk] * delta
 			dist += wd * wd
 			wNorm += weights[ant][kk] * weights[ant][kk]

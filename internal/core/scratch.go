@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"mlink/internal/channel"
 	"mlink/internal/csi"
@@ -71,6 +70,13 @@ type Scratch struct {
 
 	// Reusable sanitized-window frames.
 	san sanitize.Scratch
+
+	// prepared is the window the last successful Kernel.Score prepared —
+	// the sanitized frames in san, or the caller's raw window with
+	// Sanitize off — and preparedBy the kernel that scored it. Score
+	// clears both on entry; Detector.MeasurePrepared reads them.
+	prepared   []*csi.Frame
+	preparedBy *Kernel
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use.
@@ -204,7 +210,7 @@ func (sc *Scratch) accumulator(n int) []float64 {
 	return sc.acc
 }
 
-// rssRow returns the reusable single-frame RSS buffer.
+// rssRow returns the reusable per-subcarrier RSS row.
 func (sc *Scratch) rssRow(n int) []float64 {
 	sc.row = growFloats(&sc.row, n)
 	return sc.row
@@ -279,19 +285,6 @@ func growInts(buf *[]int, n int) []int {
 	}
 	*buf = (*buf)[:n]
 	return *buf
-}
-
-// subcarrierRSSdBInto is SubcarrierRSSdB writing into a caller buffer.
-func subcarrierRSSdBInto(dst []float64, row []complex128) {
-	for k, v := range row {
-		re, im := real(v), imag(v)
-		p := re*re + im*im
-		if p <= 0 {
-			dst[k] = math.Inf(-1)
-			continue
-		}
-		dst[k] = 10 * math.Log10(p)
-	}
 }
 
 // WarmScratch pre-sizes every buffer the kernel's scheme touches when

@@ -236,6 +236,8 @@ type Engine struct {
 	jw       JournalWriter
 	runStart time.Time
 	shards   []*shard
+	// probe is ScoreWindow's scratch, reused across probes under mu.
+	probe *core.Scratch
 
 	// remaining counts the links not yet retired in the current Run; it
 	// hitting zero is what ends the shard loops. revive carries hints that
@@ -251,7 +253,7 @@ type Engine struct {
 // New builds an engine; zero-valued config fields take defaults.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	return &Engine{cfg: cfg, byID: make(map[string]*link)}
+	return &Engine{cfg: cfg, byID: make(map[string]*link), probe: core.NewScratch()}
 }
 
 // WindowSize reports the effective monitoring window in packets.
@@ -1221,7 +1223,9 @@ func (e *Engine) tick(done <-chan struct{}, sh *shard, l *link) (tickResult, err
 	adapter := l.adapter.Load()
 	var health adapt.Health
 	if err == nil && adapter != nil {
-		health, err = adapter.Observe(l.win, dec)
+		// The adapter measures a refresh window from the frames sh.sc
+		// just sanitized for the score, so each window is prepared once.
+		health, err = adapter.ObserveScored(sh.sc, dec)
 	}
 	l.recycleFrames(l.win)
 	l.win = l.win[:0]
@@ -1295,14 +1299,14 @@ func (e *Engine) ScoreWindow(linkID string, window []*csi.Frame) (core.Decision,
 	if l.det == nil {
 		return core.Decision{}, fmt.Errorf("%w: %s", ErrNotCalibrated, linkID)
 	}
-	dec, err := l.det.Detect(window)
+	dec, err := l.det.DetectScratch(window, e.probe)
 	if err != nil {
 		return core.Decision{}, err
 	}
 	adapter := l.adapter.Load()
 	var health adapt.Health
 	if adapter != nil {
-		if health, err = adapter.Observe(window, dec); err != nil {
+		if health, err = adapter.ObserveScored(e.probe, dec); err != nil {
 			return core.Decision{}, err
 		}
 	}

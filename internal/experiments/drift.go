@@ -190,7 +190,7 @@ func RunDriftAdaptation(cfg DriftExperimentConfig) (*DriftResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := adapter.Observe(window, aDec); err != nil {
+		if _, err := adapter.ObserveScored(sc, aDec); err != nil {
 			return nil, err
 		}
 		recycle(window)
@@ -225,7 +225,7 @@ func RunDriftAdaptation(cfg DriftExperimentConfig) (*DriftResult, error) {
 		// The adapter keeps observing during the tail: a detected window is
 		// never folded into the profile (silent-window gate), which is
 		// itself part of what the tail verifies.
-		if _, err := adapter.Observe(window, aDec); err != nil {
+		if _, err := adapter.ObserveScored(sc, aDec); err != nil {
 			return nil, err
 		}
 		recycle(window)

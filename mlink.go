@@ -85,6 +85,8 @@ type System struct {
 	adaptPol   *adapt.Policy
 	adapter    *adapt.Adapter
 	nullScores []float64
+	// sc is DetectWindow's scoring scratch, handed on to the adapter.
+	sc *core.Scratch
 }
 
 // NewClassroomSystem builds the paper's 4 m classroom link (§III-A).
@@ -117,7 +119,7 @@ func newSystem(s *scenario.Scenario, scheme Scheme) (*System, error) {
 		return nil, fmt.Errorf("mlink: %w", err)
 	}
 	cfg := core.DefaultConfig(s.Grid, scheme, s.Env.RX.Offsets())
-	return &System{Scenario: s, extractor: x, cfg: cfg}, nil
+	return &System{Scenario: s, extractor: x, cfg: cfg, sc: core.NewScratch()}, nil
 }
 
 // Capture simulates one packet with the given people present and returns
@@ -230,12 +232,12 @@ func (s *System) DetectWindow(window []*Frame) (Decision, error) {
 	if s.detector == nil {
 		return Decision{}, ErrNotCalibrated
 	}
-	dec, err := s.detector.Detect(window)
+	dec, err := s.detector.DetectScratch(window, s.sc)
 	if err != nil {
 		return Decision{}, err
 	}
 	if s.adapter != nil {
-		if _, err := s.adapter.Observe(window, dec); err != nil {
+		if _, err := s.adapter.ObserveScored(s.sc, dec); err != nil {
 			return Decision{}, fmt.Errorf("mlink adaptation: %w", err)
 		}
 	}
