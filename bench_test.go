@@ -10,6 +10,7 @@ package mlink
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -572,6 +573,72 @@ func BenchmarkEngineSteadyStateSupervised(b *testing.B) {
 	b.ReportMetric(scored/b.Elapsed().Seconds(), "scores/s")
 	if verdicts == 0 {
 		b.Fatal("report loop never fused a verdict")
+	}
+}
+
+// BenchmarkEngineFrameToDecision times one supervised link's hand-off from
+// frames to decision: one op feeds a window's 25 frames into the link's
+// source and waits for that window's OnDecision. Between ops the link's
+// ingest ring is empty and its shard parks, so every op pays the producer's
+// pushes, the parked shard's wake-up and one window's scoring — the path
+// e2ebench's net-stream measures as supervise.handoff_wait_us plus
+// core.score_us. A shard that only a timer can wake adds that timer's real
+// expiry (about a millisecond when every P is idle, however short the
+// requested sleep) to each op; the recorded min_speedup pins the
+// producer-rung wake-up that replaced it. The Run (and the supervisor's
+// goroutines) start before the timer, so the loop must report 0 allocs/op.
+func BenchmarkEngineFrameToDecision(b *testing.B) {
+	s, frames := engineFixture(b)
+	decided := make(chan struct{}, 1)
+	e := engine.New(engine.Config{
+		Workers:     1,
+		WindowSize:  25,
+		Supervision: &supervise.Policy{},
+		OnDecision:  func(string, core.Decision) { decided <- struct{}{} },
+	})
+	src := make(chan *csi.Frame, len(frames))
+	cfg := core.DefaultConfig(s.Grid, core.SchemeSubcarrier, s.Env.RX.Offsets())
+	err := e.AddLink("l0", cfg, engine.SourceFunc(func() (*csi.Frame, error) {
+		f, ok := <-src
+		if !ok {
+			return nil, io.EOF
+		}
+		return f, nil
+	}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := 0
+	feed := func(n int) {
+		for i := 0; i < n; i++ {
+			src <- frames[next]
+			next = (next + 1) % len(frames)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	feed(120) // Calibrate(60) draws 60 profile + 60 held-out frames
+	if err := e.Calibrate(ctx, 60); err != nil {
+		b.Fatal(err)
+	}
+	runErr := make(chan error, 1)
+	go func() { runErr <- e.Run(ctx, 0) }()
+	// Warm-up: primes the shard scratch and the link's window slab.
+	for i := 0; i < 4; i++ {
+		feed(25)
+		<-decided
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feed(25)
+		<-decided
+	}
+	b.StopTimer()
+	cancel()
+	close(src) // the producer is blocked in the source
+	if err := <-runErr; err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -52,7 +52,10 @@
 // supervise.Supervisor: a per-link producer goroutine feeds a bounded SPSC
 // ring the shard drains non-blockingly, so a stalled, slow, or dead source
 // degrades only its own link instead of the shard-mates it used to advance
-// in lockstep with. The supervisor's lifecycle (Live/Stale/Down/Recovering,
+// in lockstep with. A shard whose links all wait on their rings parks, and
+// the producer that buffers the last frame of one of their windows wakes
+// it through the supervisor's bell — a parked shard never sleeps through a
+// ready window. The supervisor's lifecycle (Live/Stale/Down/Recovering,
 // with jittered-backoff redials and re-entry hysteresis) flows into each
 // link's fusion weight, and SiteVerdict.Coverage reports how many links
 // actually voted: a verdict with fewer fused links than registered ones is

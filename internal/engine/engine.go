@@ -127,8 +127,15 @@ type link struct {
 	// sup, when supervision is enabled, owns the link's ingestion: the
 	// shard consumes sup instead of src during Run (assigned by
 	// ensureShards under e.mu, so the single-reader source contract moves
-	// wholesale to the supervisor's producer goroutine).
+	// wholesale to the supervisor's producer goroutine). Its bell is
+	// l.poke, so a producer that buffers the frames a starved window armed
+	// for wakes the shard holding the link.
 	sup *supervise.Supervisor
+	// holder is the shard holding the link — set when Run seeds it, when a
+	// thief steals it, and by whichever shard services its recalibration —
+	// so poke knows whose wake channel to ring. A stale holder costs at
+	// most one spurious wake-up; the parked shard's timer covers the rest.
+	holder atomic.Pointer[shard]
 
 	det *core.Detector
 	// adapter is nil when adaptation is disabled. It is an atomic pointer —
@@ -205,10 +212,50 @@ type shard struct {
 	// for draining the engine's revive queue.
 	dq      linkQueue
 	revived []*link
+	// wake is the shard's one-slot doorbell: a supervised link's bell and a
+	// posted recalibration send to it without blocking, and a parked shard
+	// selects on it. timer is the reused safety-net timer of the same park,
+	// for events that ring no bell (a sibling turning stealable, a link
+	// going Down). The bell is what keeps latency low: a Go sleep shorter
+	// than a millisecond really lasts about one when every P is idle, so a
+	// shard parked on a sleep would hold a completed window for up to ~2 ms.
+	wake  chan struct{}
+	timer *time.Timer
 	// Scheduler observability, read by MetricsInto while the run is live.
-	windows atomic.Uint64 // windows scored by this shard
-	steals  atomic.Uint64 // links taken from a sibling's queue
-	busyNs  atomic.Int64  // wall time spent scoring windows (vs polling/idling)
+	windows       atomic.Uint64 // windows scored by this shard
+	steals        atomic.Uint64 // links taken from a sibling's queue
+	busyNs        atomic.Int64  // wall time spent scoring windows (vs polling/idling)
+	parksWoken    atomic.Uint64 // parks ended by the wake channel
+	parksTimedOut atomic.Uint64 // parks ended by the safety-net timer
+}
+
+// defaultParkMax caps an idle shard's safety-net park (Engine.parkMax).
+const defaultParkMax = 2 * time.Millisecond
+
+// park blocks the shard until its wake channel is rung, d elapses, or done
+// closes. Allocation-free: the timer is reused.
+func (sh *shard) park(done <-chan struct{}, d time.Duration) {
+	sh.timer.Reset(d)
+	select {
+	case <-sh.wake:
+		sh.parksWoken.Add(1)
+	case <-sh.timer.C:
+		sh.parksTimedOut.Add(1)
+		return
+	case <-done:
+	}
+	sh.timer.Stop()
+}
+
+// poke rings the wake channel of the shard holding l, without blocking:
+// l's supervisor bell, and the nudge a posted recalibration gives it.
+func (l *link) poke() {
+	if sh := l.holder.Load(); sh != nil {
+		select {
+		case sh.wake <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // Engine monitors a fleet of links concurrently.
@@ -248,12 +295,17 @@ type Engine struct {
 	windowsScored atomic.Uint64
 	framesSeen    atomic.Uint64
 	runNanos      atomic.Int64
+
+	// parkMax caps an idle shard's safety-net park, which ramps up to it in
+	// parkMax/20 steps: 100µs→2ms by default. A test that must not race the
+	// timer raises it, so only a wake-up can end a park.
+	parkMax time.Duration
 }
 
 // New builds an engine; zero-valued config fields take defaults.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	return &Engine{cfg: cfg, byID: make(map[string]*link), probe: core.NewScratch()}
+	return &Engine{cfg: cfg, byID: make(map[string]*link), probe: core.NewScratch(), parkMax: defaultParkMax}
 }
 
 // WindowSize reports the effective monitoring window in packets.
@@ -337,24 +389,30 @@ func (e *Engine) LinksInto(dst []string) []string {
 }
 
 // pull reads n frames from a source, counting them into the metrics. A
-// supervised source's non-blocking ErrNoFrame is absorbed by a short wait —
-// calibration genuinely needs the frames — except when the link is Down,
-// which fails fast with ErrLinkDown rather than hanging until ctx ends.
-func (e *Engine) pull(ctx context.Context, src Source, dst []*csi.Frame, n int) ([]*csi.Frame, error) {
+// supervised source's non-blocking ErrNoFrame is absorbed by parking sh —
+// the shard holding the link, whose wake channel the supervisor's bell
+// rings — until the missing frames are buffered, since calibration
+// genuinely needs them. A Down link fails fast with ErrLinkDown rather than
+// hanging until ctx ends; the park's e.parkMax timer re-checks that, since a
+// stalled source rings no bell. sh is nil when src is a raw source.
+func (e *Engine) pull(ctx context.Context, sh *shard, src Source, dst []*csi.Frame, n int) ([]*csi.Frame, error) {
 	for len(dst) < n {
 		if err := ctx.Err(); err != nil {
 			return dst, err
 		}
 		f, err := src.Next()
 		if err != nil {
-			if errors.Is(err, supervise.ErrNoFrame) {
-				if sup, ok := src.(*supervise.Supervisor); ok && sup.Lifecycle() == adapt.LifecycleDown {
-					return dst, fmt.Errorf("capture %d/%d frames: %w", len(dst), n, ErrLinkDown)
-				}
-				time.Sleep(200 * time.Microsecond)
-				continue
+			sup, ok := src.(*supervise.Supervisor)
+			if !ok || !errors.Is(err, supervise.ErrNoFrame) {
+				return dst, err
 			}
-			return dst, err
+			if sup.Lifecycle() == adapt.LifecycleDown {
+				return dst, fmt.Errorf("capture %d/%d frames: %w", len(dst), n, ErrLinkDown)
+			}
+			if !sup.Arm(n - len(dst)) {
+				sh.park(ctx.Done(), e.parkMax)
+			}
+			continue
 		}
 		e.framesSeen.Add(1)
 		dst = append(dst, f)
@@ -393,7 +451,7 @@ func (e *Engine) Calibrate(ctx context.Context, n int) error {
 			// replayed against the fresh baseline.
 			l.sup.Flush()
 		}
-		if err := e.calibrateLink(ctx, l, n, l.src); err != nil {
+		if err := e.calibrateLink(ctx, nil, l, n, l.src); err != nil {
 			return err
 		}
 		clearStaleRecal(l)
@@ -447,11 +505,11 @@ func (e *Engine) forEach(ctx context.Context, links []*link, fn func(context.Con
 }
 
 // calibrateLink rebuilds one link's detector state from 2n fresh frames
-// drawn from src — the raw source for offline calibration, the link's
-// supervisor during an online (mid-Run) recalibration, where the producer
-// goroutine owns the raw source.
-func (e *Engine) calibrateLink(ctx context.Context, l *link, n int, src Source) error {
-	cal, err := e.pull(ctx, src, make([]*csi.Frame, 0, n), n)
+// drawn from src — the raw source for offline calibration (sh nil), the
+// link's supervisor during an online (mid-Run) recalibration on shard sh,
+// where the producer goroutine owns the raw source.
+func (e *Engine) calibrateLink(ctx context.Context, sh *shard, l *link, n int, src Source) error {
+	cal, err := e.pull(ctx, sh, src, make([]*csi.Frame, 0, n), n)
 	if err != nil {
 		return fmt.Errorf("calibration capture: %w", err)
 	}
@@ -463,7 +521,7 @@ func (e *Engine) calibrateLink(ctx context.Context, l *link, n int, src Source) 
 	if err != nil {
 		return err
 	}
-	holdout, err := e.pull(ctx, src, make([]*csi.Frame, 0, n), n)
+	holdout, err := e.pull(ctx, sh, src, make([]*csi.Frame, 0, n), n)
 	if err != nil {
 		return fmt.Errorf("holdout capture: %w", err)
 	}
@@ -586,7 +644,7 @@ func (e *Engine) Recalibrate(ctx context.Context, linkID string, n int) error {
 	if l.sup != nil {
 		l.sup.Flush()
 	}
-	if err := e.calibrateLink(ctx, l, n, l.src); err != nil {
+	if err := e.calibrateLink(ctx, nil, l, n, l.src); err != nil {
 		return fmt.Errorf("link %s: %w", linkID, err)
 	}
 	clearStaleRecal(l)
@@ -636,6 +694,9 @@ func (e *Engine) postRecal(l *link, job *recalJob) error {
 		// job cannot be stranded.
 		e.revive.push(l)
 	}
+	// The holder (for a revive hint, the shard that retired the link) may
+	// be parked; wake it so the job starts now, not when its timer ends.
+	l.poke()
 	return nil
 }
 
@@ -744,7 +805,9 @@ func (e *Engine) ensureShards() {
 			if i < len(e.shards) {
 				shards[i] = e.shards[i]
 			} else {
-				shards[i] = &shard{id: i, sc: core.NewScratch()}
+				t := time.NewTimer(e.parkMax)
+				t.Stop()
+				shards[i] = &shard{id: i, sc: core.NewScratch(), wake: make(chan struct{}, 1), timer: t}
 			}
 		}
 		e.shards = shards
@@ -764,6 +827,7 @@ func (e *Engine) ensureShards() {
 		l.scored = 0
 		l.retired.Store(false)
 		l.hinted.Store(false)
+		l.holder.Store(sh)
 		if cap(l.win) < e.cfg.WindowSize {
 			l.win = make([]*csi.Frame, 0, e.cfg.WindowSize)
 		}
@@ -781,6 +845,7 @@ func (e *Engine) ensureShards() {
 				// exact unison, defeating the jitter.
 				pol.Seed += int64(i)
 				l.sup = supervise.New(l.id, pol, l.src, l.recycler)
+				l.sup.SetBell(l.poke)
 			}
 		} else if l.sup != nil {
 			l.sup.Flush()
@@ -823,7 +888,8 @@ func (e *Engine) ensureShards() {
 // (csinet) should enable Config.Supervision, which moves every source
 // behind a per-link ingest ring the shards consume non-blockingly; stealing
 // then keeps the remaining shards saturated with whatever links have frames
-// buffered.
+// buffered, and a shard whose supervised links are all starved parks until
+// the producer that completes one of their windows wakes it.
 func (e *Engine) Run(ctx context.Context, windowsPerLink int) error {
 	e.mu.Lock()
 	if e.running || e.calibrating {
@@ -939,12 +1005,16 @@ func (e *Engine) Run(ctx context.Context, windowsPerLink int) error {
 // from the shard's queue, drive it one step (a scored window or a claimed
 // recalibration), push it back — FIFO, so residents advance round-robin.
 // When the queue runs dry the shard steals a resident from a busy sibling
-// (unless Config.StaticAffinity) and adopts it; when nothing is stealable
-// it backs off with a ramping sleep. Between takes it services revive-queue
-// hints (recalibrations posted to links already retired). The loop ends
-// when every link in the fleet has retired or the context does — shards no
-// longer exit early when "their" links finish, because links are no longer
-// theirs.
+// (unless Config.StaticAffinity) and adopts it; when nothing is stealable,
+// or every resident is a starved supervised link, it parks. A park ends as
+// soon as something rings the shard's wake channel — the bell of a starved
+// link whose window's frames are now buffered, or a posted recalibration —
+// and otherwise after a safety-net timeout ramping from 100µs to 2ms, for
+// events that ring no bell (a sibling turning stealable). Between takes it
+// services revive-queue hints (recalibrations posted to links already
+// retired). The loop ends when every link in the fleet has retired or the
+// context does — shards no longer exit early when "their" links finish,
+// because links are no longer theirs.
 //
 // The loop owns all the state it touches while holding a link — the link's
 // slab, detector and journal buffer, the shard scratch — handed off through
@@ -963,7 +1033,7 @@ func (e *Engine) runShard(ctx context.Context, sh *shard, shards []*shard, windo
 		if e.revive.count.Load() != 0 {
 			sh.revived = e.revive.drain(sh.revived[:0])
 			for _, l := range sh.revived {
-				if e.serviceRecal(ctx, l) {
+				if e.serviceRecal(ctx, sh, l) {
 					futile, idle = 0, 0
 				}
 			}
@@ -972,17 +1042,17 @@ func (e *Engine) runShard(ctx context.Context, sh *shard, shards []*shard, windo
 		if l == nil && !e.cfg.StaticAffinity {
 			if l = e.steal(sh, shards); l != nil {
 				sh.steals.Add(1)
+				l.holder.Store(sh)
 			}
 		}
 		if l == nil {
 			// Nothing resident and nothing stealable: every live link is in
-			// flight on another shard or the fleet is retiring. Back off —
-			// ramping to 2ms — rather than spin; the loop-top done check
-			// absorbs the shutdown latency.
-			if idle < 2*time.Millisecond {
-				idle += 100 * time.Microsecond
+			// flight on another shard or the fleet is retiring. Park rather
+			// than spin; the loop-top done check absorbs the shutdown.
+			if idle < e.parkMax {
+				idle += e.parkMax / 20
 			}
-			time.Sleep(idle)
+			sh.park(done, idle)
 			continue
 		}
 		progressed, keep, err := e.advance(ctx, done, sh, l, windowsPerLink)
@@ -998,15 +1068,15 @@ func (e *Engine) runShard(ctx context.Context, sh *shard, shards []*shard, windo
 			continue
 		}
 		// A starved link (empty ingest ring) went back to the queue without
-		// work. Only once a whole round of takes is futile — every resident
-		// starved — does the shard park itself, with the same 100µs→2ms
-		// ramp as the empty-queue path.
+		// work, its bell armed for the rest of its window. Only once a whole
+		// round of takes is futile — every resident starved and armed — does
+		// the shard park, until the first of those bells rings.
 		futile++
 		if futile > sh.dq.size() {
-			if idle < 2*time.Millisecond {
-				idle += 100 * time.Microsecond
+			if idle < e.parkMax {
+				idle += e.parkMax / 20
 			}
-			time.Sleep(idle)
+			sh.park(done, idle)
 			futile = 0
 		}
 	}
@@ -1016,7 +1086,7 @@ func (e *Engine) runShard(ctx context.Context, sh *shard, shards []*shard, windo
 	if ctx.Err() == nil {
 		sh.revived = e.revive.drain(sh.revived[:0])
 		for _, l := range sh.revived {
-			e.serviceRecal(ctx, l)
+			e.serviceRecal(ctx, sh, l)
 		}
 	}
 }
@@ -1050,7 +1120,7 @@ func (e *Engine) advance(ctx context.Context, done <-chan struct{}, sh *shard, l
 	// already met its windows quota honors the request too, via the revive
 	// queue rather than this path.
 	if l.recal.Load() != nil {
-		e.serviceRecal(ctx, l)
+		e.serviceRecal(ctx, sh, l)
 		return true, true, nil
 	}
 	res, err := e.tick(done, sh, l)
@@ -1111,7 +1181,7 @@ func (e *Engine) retire(l *link) {
 // so no second job (whose executor could overlap this one) is accepted
 // until the flag drops after the rebuild. The claim CAS is defensive depth,
 // not the uniqueness argument.
-func (e *Engine) serviceRecal(ctx context.Context, l *link) bool {
+func (e *Engine) serviceRecal(ctx context.Context, sh *shard, l *link) bool {
 	job := l.recal.Load()
 	if job == nil {
 		return false
@@ -1130,8 +1200,11 @@ func (e *Engine) serviceRecal(ctx context.Context, l *link) bool {
 		// calibrate on frames captured from here on.
 		l.sup.Flush()
 		src = l.sup
+		// sh parks on the ring's bell while it draws; a revived link's
+		// last holder may be another shard.
+		l.holder.Store(sh)
 	}
-	job.err = e.calibrateLink(ctx, l, job.n, src)
+	job.err = e.calibrateLink(ctx, sh, l, job.n, src)
 	// A successful rebuild is journaled immediately as a full record — the
 	// walked baseline the deltas were building on just got replaced, so a
 	// crash between here and the link's next scored window must not resume
@@ -1185,7 +1258,8 @@ const (
 // mid-window even on slow real-time sources, not a whole queue round later.
 // A supervised link draws from its ingest ring and never blocks: an empty
 // ring parks the partial window in l.win (kept across turns, following the
-// link if it migrates) and returns tickStarved so the shard moves on to its
+// link if it migrates), arms the supervisor's bell for the frames the
+// window still lacks, and returns tickStarved so the shard moves on to its
 // queue-mates.
 func (e *Engine) tick(done <-chan struct{}, sh *shard, l *link) (tickResult, error) {
 	src := l.src
@@ -1204,6 +1278,9 @@ func (e *Engine) tick(done <-chan struct{}, sh *shard, l *link) (tickResult, err
 		f, err := src.Next()
 		if err != nil {
 			if errors.Is(err, supervise.ErrNoFrame) {
+				if l.sup.Arm(e.cfg.WindowSize - len(l.win)) {
+					continue // buffered since Next looked, or ended
+				}
 				return tickStarved, nil
 			}
 			e.framesSeen.Add(uint64(len(l.win)))

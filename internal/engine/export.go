@@ -217,6 +217,6 @@ func (e *Engine) CalibrateMissing(ctx context.Context, n int) error {
 	}
 	n = e.normalizeCalPackets(n)
 	return e.forEach(ctx, missing, func(ctx context.Context, l *link) error {
-		return e.calibrateLink(ctx, l, n, l.src)
+		return e.calibrateLink(ctx, nil, l, n, l.src)
 	})
 }

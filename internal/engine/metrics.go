@@ -76,6 +76,13 @@ type Metrics struct {
 	ScoresPerSec float64
 	// Steals counts link migrations between shards (sum over Shards).
 	Steals uint64
+	// ParksWoken and ParksTimedOut count idle shard parks by how they
+	// ended: woken by a supervised link's bell (its window's frames are
+	// buffered) or a posted recalibration, or expired on the safety-net
+	// timer. Summed over shards; a supervised fleet that waits on its
+	// sources mostly wakes.
+	ParksWoken    uint64
+	ParksTimedOut uint64
 	// PerLink holds one entry per link in registration order.
 	PerLink []LinkMetrics
 	// Shards holds one entry per scoring shard.
@@ -109,8 +116,10 @@ func (e *Engine) MetricsInto(m *Metrics) {
 	if secs := active.Seconds(); secs > 0 {
 		m.ScoresPerSec = float64(m.WindowsScored) / secs
 	}
-	m.Steals = 0
+	m.Steals, m.ParksWoken, m.ParksTimedOut = 0, 0, 0
 	for _, sh := range e.shards {
+		m.ParksWoken += sh.parksWoken.Load()
+		m.ParksTimedOut += sh.parksTimedOut.Load()
 		sm := ShardMetrics{
 			WindowsScored: sh.windows.Load(),
 			Steals:        sh.steals.Load(),

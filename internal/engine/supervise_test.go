@@ -11,6 +11,7 @@ import (
 
 	"mlink/internal/adapt"
 	"mlink/internal/body"
+	"mlink/internal/core"
 	"mlink/internal/csi"
 	"mlink/internal/scenario"
 	"mlink/internal/supervise"
@@ -456,5 +457,80 @@ func TestSupervisedLifecycleTransitionsReported(t *testing.T) {
 	chaosSrc.Resume()
 	if err := <-runDone; err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, io.EOF) {
 		t.Fatalf("Run returned %v", err)
+	}
+}
+
+// chanSource hands out the frames a test sends it, blocking in between;
+// closing the channel ends the stream.
+type chanSource chan *csi.Frame
+
+func (c chanSource) Next() (*csi.Frame, error) {
+	f, ok := <-c
+	if !ok {
+		return nil, io.EOF
+	}
+	return f, nil
+}
+
+// TestSupervisedWindowWakesParkedShard completes a supervised link's window
+// while its shard is parked waiting for it. The safety-net timer is pushed
+// out of reach, so only the producer's bell can end the park: a bell that
+// is never rung, or rings the wrong shard, leaves the window unscored. The
+// test asserts how the park ended, never how long anything took.
+func TestSupervisedWindowWakesParkedShard(t *testing.T) {
+	decided := make(chan struct{}, 1)
+	e := New(Config{Workers: 1, WindowSize: 25, OnDecision: func(string, core.Decision) {
+		decided <- struct{}{}
+	}})
+	e.parkMax = time.Hour
+	if err := e.SetSupervision(&supervise.Policy{}); err != nil {
+		t.Fatal(err)
+	}
+	_, cfg, sim := buildLink(t, 2, 7)
+	src := make(chanSource, 100)
+	if err := e.AddLink("l0", cfg, src); err != nil {
+		t.Fatal(err)
+	}
+	feed := func(n int) {
+		for i := 0; i < n; i++ {
+			f, _ := sim.Next()
+			src <- f
+		}
+	}
+	feed(100) // Calibrate(50) draws 50 profile + 50 held-out frames
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := e.Calibrate(ctx, 50); err != nil {
+		t.Fatal(err)
+	}
+	runErr := make(chan error, 1)
+	go func() { runErr <- e.Run(ctx, 1) }()
+	waitRunning(t, e)
+	sup := e.byID["l0"].sup
+
+	// One frame short of a window: the shard armed the bell for the rest of
+	// the window when it first found the ring short, and has been parked
+	// since (the bell cannot ring before the window's last frame).
+	feed(24)
+	for deadline := time.Now().Add(5 * time.Second); sup.Status().Frames < 24; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the producer never took the first 24 frames")
+		}
+	}
+	before := e.Metrics()
+	feed(1)
+	select {
+	case <-decided:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the completed window was never scored: no wake-up ended the park")
+	}
+	after := e.Metrics()
+	if after.ParksWoken <= before.ParksWoken || after.ParksTimedOut != 0 {
+		t.Fatalf("parks woken %d→%d, timed out %d→%d; want one more woken and none timed out",
+			before.ParksWoken, after.ParksWoken, before.ParksTimedOut, after.ParksTimedOut)
+	}
+	close(src) // Run joins the producer, which is blocked in the source
+	if err := <-runErr; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -90,9 +90,12 @@ func (e *Environment) buildRayConsts() {
 }
 
 // PrepareGrid builds (or rebuilds) the synthesis cache for a frequency grid.
-// It is idempotent for an unchanged grid and must not be called concurrently
-// with Response evaluations. Callers that capture packets (csi.Extractor)
-// invoke it once at construction.
+// It is idempotent for an unchanged grid and safe for concurrent callers:
+// extractors built from one scenario on several goroutines share the
+// environment, and the first of them builds the cache the rest reuse. A
+// ResponseInto already running keeps the cache it loaded, so rebuilding for
+// a different grid never tears a synthesis in flight. Callers that capture
+// packets (csi.Extractor) invoke it once at construction.
 func (e *Environment) PrepareGrid(freqs []float64) error {
 	if len(freqs) == 0 {
 		return fmt.Errorf("prepare grid with no frequencies: %w", ErrBadGeometry)
@@ -102,7 +105,9 @@ func (e *Environment) PrepareGrid(freqs []float64) error {
 			return fmt.Errorf("prepare grid with frequency %v: %w", f, ErrBadGeometry)
 		}
 	}
-	if e.cache != nil && sameFreqs(e.cache.freqs, freqs) {
+	e.prepMu.Lock()
+	defer e.prepMu.Unlock()
+	if c := e.cache.Load(); c != nil && sameFreqs(c.freqs, freqs) {
 		return nil
 	}
 	nf := len(freqs)
@@ -136,19 +141,20 @@ func (e *Environment) PrepareGrid(freqs []float64) error {
 		}
 		c.elems[i] = ec
 	}
-	e.cache = c
+	e.cache.Store(c)
 	return nil
 }
 
 // Prepared reports whether PrepareGrid has built a cache.
-func (e *Environment) Prepared() bool { return e.cache != nil }
+func (e *Environment) Prepared() bool { return e.cache.Load() != nil }
 
 // PreparedFor reports whether the cache matches the given frequency grid —
 // the guard callers sharing an environment across grids use before
 // ResponseInto, since a cache rebuilt for another grid would otherwise
 // synthesize at the wrong frequencies.
 func (e *Environment) PreparedFor(freqs []float64) bool {
-	return e.cache != nil && sameFreqs(e.cache.freqs, freqs)
+	c := e.cache.Load()
+	return c != nil && sameFreqs(c.freqs, freqs)
 }
 
 func sameFreqs(a, b []float64) bool {
@@ -195,7 +201,7 @@ func shadowGainAt(pairs []body.ShadowGeometry, lambda float64) float64 {
 // re-evaluated against the cached per-ray phasors. sc may be nil (a scratch
 // is then allocated per call).
 func (e *Environment) ResponseInto(dst [][]complex128, bodies []body.Body, sc *ResponseScratch) error {
-	c := e.cache
+	c := e.cache.Load()
 	if c == nil {
 		return fmt.Errorf("response into without PrepareGrid: %w", ErrBadGeometry)
 	}

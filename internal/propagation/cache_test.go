@@ -3,6 +3,7 @@ package propagation
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"mlink/internal/body"
@@ -124,14 +125,14 @@ func TestPrepareGridErrors(t *testing.T) {
 	freqs := testFreqs()
 	mustPrepared(t, env, freqs)
 	// Idempotent for the same grid: the cache pointer must not be rebuilt.
-	before := env.cache
+	before := env.cache.Load()
 	mustPrepared(t, env, freqs)
-	if env.cache != before {
+	if env.cache.Load() != before {
 		t.Fatal("PrepareGrid rebuilt an unchanged grid")
 	}
 	// Rebuilt for a different grid.
 	mustPrepared(t, env, freqs[:10])
-	if env.cache == before {
+	if env.cache.Load() == before {
 		t.Fatal("PrepareGrid kept a stale cache")
 	}
 	if err := env.ResponseInto(dst[:1], nil, nil); err == nil {
@@ -167,5 +168,40 @@ func TestResponseIntoAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("ResponseInto allocates %v per call, want 0", allocs)
+	}
+}
+
+// TestPrepareGridConcurrentCallers prepares one environment from several
+// goroutines at once, as extractors built in parallel from one scenario do,
+// each synthesizing as soon as its own call returns. Under -race it proves
+// the check-and-build is synchronized; all callers must share one cache.
+func TestPrepareGridConcurrentCallers(t *testing.T) {
+	room := mustRoom(t, 6, 8)
+	rx := mustULA(t, geom.Point{X: 5, Y: 4}, 0, 2)
+	env := mustEnv(t, room, geom.Point{X: 1, Y: 4}, rx, 1)
+	freqs := testFreqs()
+	const callers = 4
+	caches := make([]*gridCache, callers)
+	var wg sync.WaitGroup
+	for i := range caches {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := env.PrepareGrid(freqs); err != nil {
+				t.Error(err)
+				return
+			}
+			dst := [][]complex128{make([]complex128, len(freqs)), make([]complex128, len(freqs))}
+			if err := env.ResponseInto(dst, nil, nil); err != nil {
+				t.Error(err)
+			}
+			caches[i] = env.cache.Load()
+		}(i)
+	}
+	wg.Wait()
+	for i, c := range caches {
+		if c == nil || c != caches[0] {
+			t.Fatalf("caller %d saw cache %p, caller 0 saw %p: the grid was built more than once", i, c, caches[0])
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"sync"
+	"sync/atomic"
 
 	"mlink/internal/body"
 	"mlink/internal/geom"
@@ -91,7 +93,10 @@ type Environment struct {
 
 	staticRays [][]Ray      // per receive element
 	rayConsts  [][]rayConst // per-ray frequency-independent constants
-	cache      *gridCache   // per-grid phasor tables, built by PrepareGrid
+	// cache holds the per-grid phasor tables; PrepareGrid builds them under
+	// prepMu and publishes them whole, ResponseInto loads them lock-free.
+	cache  atomic.Pointer[gridCache]
+	prepMu sync.Mutex
 }
 
 // NewEnvironment validates the geometry and eagerly traces the static rays

@@ -18,6 +18,8 @@ func AppendMetrics(b []byte, m *engine.Metrics, hub *Hub) []byte {
 	b = appendMetric(b, "mlink_frames_seen_total", "counter", "CSI frames ingested across the fleet.", float64(m.FramesSeen))
 	b = appendMetric(b, "mlink_scores_per_second", "gauge", "Windows scored per second of active run time.", m.ScoresPerSec)
 	b = appendMetric(b, "mlink_steals_total", "counter", "Link migrations between scoring shards.", float64(m.Steals))
+	b = appendMetric(b, "mlink_shard_parks_woken_total", "counter", "Idle shard parks ended by a wake-up.", float64(m.ParksWoken))
+	b = appendMetric(b, "mlink_shard_parks_timed_out_total", "counter", "Idle shard parks ended by the safety-net timer.", float64(m.ParksTimedOut))
 
 	b = appendHeader(b, "mlink_shard_windows_total", "counter", "Windows scored per shard.")
 	for i := range m.Shards {

@@ -30,7 +30,8 @@ func (s *stubEngine) MetricsInto(m *engine.Metrics) {
 	})
 	shards := m.Shards[:0]
 	shards = append(shards, engine.ShardMetrics{WindowsScored: 10, Steals: 1, Utilization: 0.5})
-	*m = engine.Metrics{Links: 1, WindowsScored: 10, FramesSeen: 250, ScoresPerSec: 5, Steals: 1, PerLink: perLink, Shards: shards}
+	*m = engine.Metrics{Links: 1, WindowsScored: 10, FramesSeen: 250, ScoresPerSec: 5, Steals: 1,
+		ParksWoken: 7, ParksTimedOut: 3, PerLink: perLink, Shards: shards}
 }
 
 func newTestServer(t *testing.T, hub *Hub, logf func(string, ...any)) (*httptest.Server, *stubEngine) {
@@ -148,6 +149,9 @@ func TestServerPrometheusMetrics(t *testing.T) {
 		"mlink_windows_scored_total 10",
 		`mlink_link_present{link="l0"} 1`,
 		`mlink_shard_utilization{shard="0"} 0.5`,
+		"# TYPE mlink_shard_parks_woken_total counter",
+		"mlink_shard_parks_woken_total 7",
+		"mlink_shard_parks_timed_out_total 3",
 		"mlink_stream_subscribers 0",
 	} {
 		if !strings.Contains(text, want) {

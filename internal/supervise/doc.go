@@ -8,6 +8,17 @@
 // contained to the one link, which the fusion layer then discounts or
 // excludes.
 //
+// A consumer with nothing left to pop need not poll. It arms the
+// supervisor's bell with the number of frames it still needs (Arm), then
+// parks on whatever the bell signals — the engine installs a non-blocking
+// send to the parked shard's wake channel (SetBell, before Start). The
+// producer rings once, right after the push that buffers the requested
+// count, or when the link ends. Arm stores the target before it reads the
+// ring tail and the producer stores the tail before it reads the target,
+// so one of the two always sees the other: Arm reports the frames as
+// already there, or the producer rings. A CAS on the target makes it one
+// ring per arm. Next itself still never blocks.
+//
 // The supervisor also owns the link lifecycle state machine
 //
 //	Live → Stale → Down → Recovering → Live

@@ -177,11 +177,13 @@ type Status struct {
 // reconnectable sources with jittered exponential backoff. The consumer —
 // the engine shard that owns the link — calls Next, which never blocks:
 // a stalled, slow, or dead source can starve only its own link, never a
-// shard sibling.
+// shard sibling. A consumer that found the ring short arms the bell (Arm)
+// and parks; the producer rings it once the frames it asked for are
+// buffered, so the consumer need not poll.
 //
-// Concurrency contract: exactly one goroutine calls Next/Flush (the
-// consumer); Start/Wait are called by the run orchestrator; Lifecycle and
-// Status are safe from any goroutine.
+// Concurrency contract: exactly one goroutine calls Next/Flush/Arm (the
+// consumer); SetBell/Start/Wait are called by the run orchestrator;
+// Lifecycle and Status are safe from any goroutine.
 type Supervisor struct {
 	link string
 	pol  Policy
@@ -200,6 +202,14 @@ type Supervisor struct {
 
 	backoff time.Duration // producer-owned current backoff
 	sinceUp int           // producer-owned consecutive frames since reconnect
+
+	// bell is the consumer's wake-up callback (SetBell), called from the
+	// producer goroutine. want is the armed bell's target: the ring tail at
+	// which the frames the consumer asked for are all buffered, 0 when
+	// unarmed. Arm stores it, the producer CASes it back to 0 when it rings,
+	// so each arm rings at most once.
+	bell func()
+	want atomic.Uint64
 
 	running atomic.Bool
 	wg      sync.WaitGroup
@@ -235,6 +245,7 @@ func (s *Supervisor) Start(ctx context.Context) error {
 	s.lastActivity.Store(time.Now().UnixNano())
 	s.backoff = s.pol.BackoffMin
 	s.sinceUp = 0
+	s.want.Store(0)
 	prodDone := make(chan struct{})
 	s.wg.Add(2)
 	go func() {
@@ -257,11 +268,12 @@ func (s *Supervisor) Wait() {
 }
 
 // Next pops the oldest buffered frame. It never blocks: ErrNoFrame means
-// "nothing yet, skip me this pass"; io.EOF means the link has ended for
-// good. A hard source failure on a non-reconnectable source also ends the
-// link as io.EOF — supervision's contract is that one broken source marks
-// its own link down instead of killing the run — with the terminal error
-// preserved in Status().Err and the OnTransition cause.
+// "nothing yet, skip me this pass" (Arm then lets the consumer sleep until
+// the frames it needs arrive); io.EOF means the link has ended for good. A
+// hard source failure on a non-reconnectable source also ends the link as
+// io.EOF — supervision's contract is that one broken source marks its own
+// link down instead of killing the run — with the terminal error preserved
+// in Status().Err and the OnTransition cause.
 func (s *Supervisor) Next() (*csi.Frame, error) {
 	if f := s.ring.pop(); f != nil {
 		return f, nil
@@ -275,6 +287,56 @@ func (s *Supervisor) Next() (*csi.Frame, error) {
 		return nil, io.EOF
 	}
 	return nil, ErrNoFrame
+}
+
+// SetBell installs the callback the producer rings for an armed consumer
+// (see Arm). Call it before Start; bell runs on the producer goroutine, so
+// it must be fast and must not block — a non-blocking channel send is the
+// intended shape.
+func (s *Supervisor) SetBell(bell func()) { s.bell = bell }
+
+// Arm asks the producer to ring the bell once n frames are buffered, or
+// when the link ends, whichever comes first; n is capped at the ring's
+// capacity, which a full ring would otherwise never exceed. It reports
+// true, and arms nothing, when the frames are already buffered or the link
+// has already ended (or n < 1 asks for nothing): the consumer should keep
+// popping instead of parking. Consumer-side only (same goroutine as Next).
+//
+// Each arm rings at most once, and never too late: Arm stores the target
+// and then reads the ring tail (and the run state), while the producer
+// stores the tail (or the ended state) and then reads the target. With Go's
+// sequentially consistent atomics one side always sees the other's store,
+// so either Arm reports true or the producer rings — the wake-up cannot be
+// lost. When Arm loses the disarm race to a producer that already claimed
+// the target, the bell still rings once: a spurious wake, never a missed
+// one.
+func (s *Supervisor) Arm(n int) bool {
+	if n < 1 {
+		return true
+	}
+	if c := len(s.ring.buf); n > c {
+		n = c
+	}
+	target := s.ring.head.Load() + uint64(n)
+	s.want.Store(target)
+	if s.ring.tail.Load() >= target || runState(s.state.Load()) == stEnded {
+		s.want.CompareAndSwap(target, 0)
+		return true
+	}
+	return false
+}
+
+// ringBell rings an armed bell whose target the ring tail has reached, or
+// any armed bell once the link has ended. Producer-side only, after the
+// tail or state store it reports.
+func (s *Supervisor) ringBell(ended bool) {
+	w := s.want.Load()
+	if w == 0 || (!ended && s.ring.tail.Load() < w) {
+		return
+	}
+	if s.want.CompareAndSwap(w, 0) && s.bell != nil {
+		s.bell()
+	}
 }
 
 // Flush drains and recycles every buffered frame, returning the count.
@@ -362,6 +424,7 @@ func (s *Supervisor) produce(ctx context.Context) {
 				s.setErr(err)
 			}
 			s.state.Store(int32(stEnded))
+			s.ringBell(true)
 			return
 		}
 		// Down: redial until it sticks or the run ends. Backoff grows per
@@ -429,6 +492,7 @@ func (s *Supervisor) deliver(ctx context.Context, f *csi.Frame) bool {
 		// fresh so backpressure is never misreported as staleness.
 		s.lastActivity.Store(time.Now().UnixNano())
 	}
+	s.ringBell(false)
 	return true
 }
 

@@ -351,3 +351,179 @@ func TestSupervisorRestartableAcrossRuns(t *testing.T) {
 	src.feed(1)
 	s.Wait()
 }
+
+// bellRecorder installs a bell that reports the ring depth at each ring, so
+// a test can tell which push rang it.
+func bellRecorder(s *Supervisor) <-chan int {
+	rang := make(chan int, 8)
+	s.SetBell(func() { rang <- s.ring.len() })
+	return rang
+}
+
+func TestSupervisorBellRingsOnceAtCount(t *testing.T) {
+	src := newScriptSource(16)
+	s := New("L1", fastPolicy(), src, src)
+	rang := bellRecorder(s)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := s.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	src.feed(2)
+	waitFor(t, time.Second, "2 frames buffered", func() bool { return s.Status().Buffered == 2 })
+	if s.Arm(5) {
+		t.Fatal("Arm(5) with 2 frames buffered reported them ready")
+	}
+	src.feed(6)
+	waitFor(t, time.Second, "8 frames buffered", func() bool { return s.Status().Buffered == 8 })
+	// The producer rings before its next push, so the bell has run by now.
+	select {
+	case n := <-rang:
+		if n != 5 {
+			t.Fatalf("bell rang with %d frames buffered, want 5", n)
+		}
+	default:
+		t.Fatal("bell never rang")
+	}
+	select {
+	case n := <-rang:
+		t.Fatalf("bell rang a second time, at %d frames buffered", n)
+	default:
+	}
+	close(src.ch) // the producer is blocked in the source's Next
+	s.Wait()
+}
+
+func TestSupervisorArmWhenBufferedNeverRings(t *testing.T) {
+	src := newScriptSource(16)
+	s := New("L1", fastPolicy(), src, src)
+	rang := bellRecorder(s)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := s.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	src.feed(3)
+	waitFor(t, time.Second, "3 frames buffered", func() bool { return s.Status().Buffered == 3 })
+	if !s.Arm(3) {
+		t.Fatal("Arm(3) with 3 frames buffered armed instead of reporting them ready")
+	}
+	src.feed(3)
+	waitFor(t, time.Second, "6 frames buffered", func() bool { return s.Status().Buffered == 6 })
+	select {
+	case n := <-rang:
+		t.Fatalf("bell rang at %d frames buffered, but nothing was armed", n)
+	default:
+	}
+	close(src.ch) // the producer is blocked in the source's Next
+	s.Wait()
+}
+
+func TestSupervisorBellRingsWhenSourceEnds(t *testing.T) {
+	src := newScriptSource(16)
+	s := New("L1", fastPolicy(), src, src)
+	rang := bellRecorder(s)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := s.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	src.feed(1)
+	waitFor(t, time.Second, "1 frame buffered", func() bool { return s.Status().Buffered == 1 })
+	if s.Arm(5) {
+		t.Fatal("Arm(5) with 1 frame buffered reported it ready")
+	}
+	close(src.ch) // a plain source's clean end
+	select {
+	case <-rang:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the end of the source did not ring the armed bell")
+	}
+	if f, err := s.Next(); f == nil || err != nil {
+		t.Fatalf("Next after end = %v, %v; want the buffered frame", f, err)
+	}
+	if !s.Arm(1) {
+		t.Fatal("Arm on an ended, drained link armed instead of reporting the end")
+	}
+	if _, err := s.Next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("Next after end = %v, want io.EOF", err)
+	}
+	s.Wait()
+}
+
+// lockstepSource serves frames in batches of sizes[i] and, before each
+// next batch (and before ending), waits until the consumer reports the
+// previous batch drained. The push that completes a batch is therefore the
+// producer's last until the consumer acts: a lost wake-up there parks both
+// sides for good.
+type lockstepSource struct {
+	sizes   []int
+	next    int // index of the next batch to start
+	left    int // frames left in the current batch
+	drained chan struct{}
+	f       csi.Frame
+}
+
+func (s *lockstepSource) Next() (*csi.Frame, error) {
+	if s.left == 0 {
+		if s.next > 0 {
+			<-s.drained
+		}
+		if s.next == len(s.sizes) {
+			return nil, io.EOF
+		}
+		s.left = s.sizes[s.next]
+		s.next++
+	}
+	s.left--
+	return &s.f, nil
+}
+
+// TestSupervisorBellNoLostWakeup races the producer's pushes against a
+// consumer that pops, arms for the rest of the current batch and parks on
+// the bell alone — no timer, no poll. Because the producer then waits for
+// the consumer, a single lost wake-up hangs the test until -timeout kills
+// it. Batch sizes run one past the ring's capacity to cover Arm's cap too
+// (rarely: a full ring costs the producer a backpressure sleep).
+func TestSupervisorBellNoLostWakeup(t *testing.T) {
+	pol := fastPolicy()
+	pol.RingSize = 32
+	sizes := make([]int, 3000)
+	for i := range sizes {
+		sizes[i] = i%(pol.RingSize+1) + 1
+	}
+	src := &lockstepSource{sizes: sizes, drained: make(chan struct{})}
+	s := New("L1", pol, src, nil)
+	bell := make(chan struct{}, 1)
+	s.SetBell(func() {
+		select {
+		case bell <- struct{}{}:
+		default:
+		}
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := s.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range sizes {
+		for got := 0; got < size; {
+			_, err := s.Next()
+			switch {
+			case err == nil:
+				got++
+			case errors.Is(err, ErrNoFrame):
+				if !s.Arm(size - got) {
+					<-bell
+				}
+			default:
+				t.Fatalf("Next mid-batch: %v", err)
+			}
+		}
+		src.drained <- struct{}{}
+	}
+	s.Wait()
+	if _, err := s.Next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("Next after the last batch = %v, want io.EOF", err)
+	}
+}
